@@ -27,7 +27,10 @@ struct ChunkRef {
 
 /// Read-side counters of one chunk store (monotonic except cache_bytes).
 /// `bytes_read`/`chunk_fetches` count only real disk fetches; cache hits
-/// are free once a chunk is in memory.
+/// are free once a chunk is in memory. A Get that loses a concurrent fill
+/// (it fetched the chunk, but another Get cached it first) returns the
+/// cached entry and counts as a cache hit, not a fetch. So once the reader
+/// is quiescent, chunk_fetches + cache_hits equals the successful Gets.
 struct ChunkStoreStats {
   uint64_t bytes_read = 0;      ///< Compressed bytes fetched from disk.
   uint64_t chunk_fetches = 0;   ///< Get calls that went to disk.
@@ -119,7 +122,10 @@ class ChunkStoreReader {
   /// falls back to ranged reads, where a checksum mismatch or short read
   /// is retried once (transient read faults) and a second failure is
   /// reported as Corruption. Thread-safe; counters and cache are
-  /// mutex-guarded.
+  /// mutex-guarded. Each successful call counts exactly one cache hit or
+  /// one fetch: when two concurrent misses fetch the same chunk, the one
+  /// that fills the cache counts the fetch and its bytes, and the other
+  /// returns the cached entry and counts a cache hit.
   Result<std::string> Get(uint32_t id) const;
 
   /// Integrity check of chunk `id` without decompression: re-reads the
@@ -146,7 +152,9 @@ class ChunkStoreReader {
   /// Snapshot of the read-side counters. Lock-free: counters are relaxed
   /// atomics, so worker threads in RetrieveSnapshotsParallel update and
   /// read them without touching the cache mutex. Each field is exact;
-  /// cross-field consistency is quiescent (stable once workers drain).
+  /// cross-field consistency is quiescent (stable once workers drain):
+  /// then chunk_fetches + cache_hits is the number of successful Gets,
+  /// a Get that lost a concurrent fill being counted as a cache hit.
   ChunkStoreStats stats() const {
     ChunkStoreStats out;
     out.bytes_read = stats_->bytes_read.load(std::memory_order_relaxed);

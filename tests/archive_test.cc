@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <tuple>
 
 #include "common/env.h"
 #include "common/fault_env.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/random.h"
 #include "data/dataset.h"
@@ -1044,6 +1048,91 @@ TEST(ChunkStoreTest, StatsConsistentUnderConcurrentAccess) {
   EXPECT_GT(stats.bytes_read, 0u);
   EXPECT_EQ(reader->bytes_read(), stats.bytes_read);
   EXPECT_LE(stats.cache_bytes, 1u << 16);
+}
+
+// Holds the first two ranged reads at a rendezvous once armed, so two
+// concurrent Gets of one chunk both miss the cache before either fills
+// it. The wait is bounded: a Get that never reaches the read cannot hang
+// the test, and `arrivals()` reports whether the race really happened.
+class RendezvousEnv : public MemEnv {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  int arrivals() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrivals_;
+  }
+
+  Result<std::string> ReadFileRange(const std::string& path, uint64_t offset,
+                                    uint64_t length) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_ && arrivals_ < 2) {
+        ++arrivals_;
+        cv_.notify_all();
+        cv_.wait_for(lock, std::chrono::seconds(10),
+                     [this] { return arrivals_ >= 2; });
+      }
+    }
+    return MemEnv::ReadFileRange(path, offset, length);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int arrivals_ = 0;
+};
+
+// Deterministic form of the race StatsConsistentUnderConcurrentAccess
+// catches only now and then: two Gets of one chunk both go to disk, one
+// fills the cache, and the other finds the entry already there. The
+// loser returns the cached copy, so it is counted as a cache hit; its
+// fetch and bytes are not counted again.
+TEST(ChunkStoreTest, LosingConcurrentFillCountedAsCacheHit) {
+  RendezvousEnv env;
+  ChunkStoreWriter writer(&env, "s.bin");
+  Rng rng(33);
+  std::string payload(2048, '\0');
+  for (auto& c : payload) c = static_cast<char>(rng.Uniform(6));
+  ASSERT_TRUE(writer.Put(Slice(payload), CodecType::kDeflateLite).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = ChunkStoreReader::Open(&env, "s.bin");
+  ASSERT_TRUE(reader.ok());
+  reader->EnableCache(true);
+  reader->SetCacheCapacity(1 << 16);
+  env.Arm();
+
+  Counter* live_misses = MH_COUNTER("pas.chunk.cache.miss");
+  Counter* live_hits = MH_COUNTER("pas.chunk.cache.hit");
+  Counter* live_fetches = MH_COUNTER("pas.chunk.fetch.count");
+  const uint64_t misses_before = live_misses->value();
+  const uint64_t hits_before = live_hits->value();
+  const uint64_t fetches_before = live_fetches->value();
+
+  Result<std::string> results[2] = {Status::FailedPrecondition("not run"),
+                                    Status::FailedPrecondition("not run")};
+  std::thread a([&] { results[0] = reader->Get(0); });
+  std::thread b([&] { results[1] = reader->Get(0); });
+  a.join();
+  b.join();
+
+  ASSERT_EQ(env.arrivals(), 2) << "both Gets must reach the disk read";
+  ASSERT_TRUE(results[0].ok());
+  ASSERT_TRUE(results[1].ok());
+  EXPECT_EQ(*results[0], payload);
+  EXPECT_EQ(*results[1], payload);
+  const ChunkStoreStats stats = reader->stats();
+  EXPECT_EQ(stats.chunk_fetches, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.bytes_read, reader->ref(0).stored_size);
+  // The live registry counters classify the loser as a miss with no
+  // fetch: two misses, one fetch, no hit.
+  EXPECT_EQ(live_misses->value() - misses_before, 2u);
+  EXPECT_EQ(live_fetches->value() - fetches_before, 1u);
+  EXPECT_EQ(live_hits->value() - hits_before, 0u);
 }
 
 // Retrieval that dies partway (injected read fault) must still emit the
