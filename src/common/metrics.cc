@@ -5,41 +5,11 @@
 #include <cstdio>
 #include <functional>
 
+#include "common/json.h"
+
 namespace modelhub {
 
 namespace {
-
-/// Escape a metric name for embedding as a JSON string. Names are dotted
-/// ASCII identifiers by convention, but the exporter must not emit broken
-/// JSON if someone registers something exotic.
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendUint(std::string* out, uint64_t v) {
   out->append(std::to_string(v));

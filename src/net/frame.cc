@@ -68,6 +68,8 @@ Status DecodeTraceHeader(Slice* body, FrameTrace* trace) {
 /// Shared body decoder for DecodeFrame/ReadFrame: splits version/opcode,
 /// peels the optional trace header, leaves the payload.
 Status ParseFrameBody(Slice body, Frame* frame) {
+  // The u32 length prefix and the u32 CRC trailer surround the body.
+  frame->wire_bytes = 4 + body.size() + 4;
   uint8_t version = static_cast<uint8_t>(body[0]);
   frame->opcode = static_cast<uint8_t>(body[1]);
   body.RemovePrefix(kFrameHeaderBytes);

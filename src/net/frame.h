@@ -78,6 +78,9 @@ struct Frame {
   /// Present when the sender attached a trace-context header.
   std::optional<FrameTrace> trace;
   std::string payload;
+  /// Bytes the frame occupied on the wire: length prefix, body (trace
+  /// header included) and CRC. Set by DecodeFrame and ReadFrame.
+  uint64_t wire_bytes = 0;
 };
 
 /// Serializes one frame (length prefix + body + CRC). A non-null `trace`

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <utility>
 
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -16,23 +16,6 @@
 
 namespace modelhub {
 namespace {
-
-/// Wire overhead of one frame: length prefix + version + opcode + CRC.
-constexpr uint64_t kFrameOverheadBytes = 4 + kFrameHeaderBytes + 4;
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
-uint64_t UnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Faults worth burning retry budget on. kUnavailable / kDeadlineExceeded
 /// cover refused connects, sheds, and expired budgets; kIOError and
@@ -51,39 +34,6 @@ Rng& JitterRng() {
       std::chrono::steady_clock::now().time_since_epoch().count() ^
       (std::hash<std::thread::id>{}(std::this_thread::get_id()) << 1)));
   return rng;
-}
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 Result<Endpoint> ParseEndpoint(const std::string& text) {
@@ -167,12 +117,16 @@ ModelHubRouter::ModelHubRouter(FleetTopology topology, RouterOptions options)
     : topology_(std::move(topology)),
       options_(options),
       ring_(options.vnodes_per_shard),
-      slow_log_(static_cast<size_t>(std::max(1, options.slow_log_capacity))) {}
+      frames_(options_, "router", /*drain_grace_ms=*/0,
+              [](std::string_view) { return "router.op.forward.us"; },
+              [this](const Frame& request, std::string* out) {
+                return Dispatch(request, out);
+              }) {}
 
 ModelHubRouter::~ModelHubRouter() { (void)Stop(); }
 
 Status ModelHubRouter::Start() {
-  if (running_.load()) {
+  if (frames_.running()) {
     return Status::FailedPrecondition("router already running");
   }
   if (topology_.shards.empty()) {
@@ -208,67 +162,21 @@ Status ModelHubRouter::Start() {
     shards_.push_back(std::move(runtime));
   }
 
-  MH_ASSIGN_OR_RETURN(Listener listener,
-                      Listener::Bind(options_.host, options_.port));
-  listener_.emplace(std::move(listener));
-  workers_ = std::make_unique<ThreadPool>(std::max(1, options_.num_workers));
-
-  stopping_.store(false);
-  started_at_ = std::chrono::steady_clock::now();
-  running_.store(true, std::memory_order_release);
-  MH_COUNTER("router.starts.count")->Increment();
-  UpdateUptimeGauge();
+  MH_RETURN_IF_ERROR(frames_.Start());
   UpdateHealthGauges();
-  for (int i = 0; i < workers_->num_threads(); ++i) {
-    workers_->Schedule(&worker_group_, [this] { WorkerLoop(); });
-  }
   probe_thread_ = std::thread([this] { ProbeLoop(); });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
-int ModelHubRouter::port() const {
-  return listener_.has_value() ? listener_->port() : 0;
-}
-
-void ModelHubRouter::RequestStop() {
-  // Only an atomic store and a pipe write — callable from signal handlers.
-  stopping_.store(true);
-  if (listener_.has_value()) listener_->Wake();
-}
-
-void ModelHubRouter::WaitUntilStopRequested() const {
-  while (!stopping_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-}
-
 Status ModelHubRouter::Stop() {
-  if (!running_.load()) return Status::OK();
-  RequestStop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  queue_cv_.notify_all();
-  worker_group_.Wait();
-  std::deque<PendingConn> leftover;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    leftover.swap(pending_);
-    MH_GAUGE("router.queue.depth")->Set(0);
-  }
-  for (PendingConn& pc : leftover) {
-    Shed(std::move(pc.sock), "router draining");
-  }
+  if (!frames_.running()) return Status::OK();
+  MH_RETURN_IF_ERROR(frames_.Stop());
   if (probe_thread_.joinable()) probe_thread_.join();
-  workers_.reset();
-  listener_.reset();
   // The shard table survives Stop (tests inspect breaker states after a
   // drain) but pooled backend sockets are released now.
   for (const auto& shard : shards_) {
     for (const auto& backend : shard->replicas) backend->InvalidatePool();
   }
-  UpdateUptimeGauge();
-  MH_COUNTER("router.stops.count")->Increment();
-  running_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -321,152 +229,6 @@ void ModelHubRouter::UpdateHealthGauges() const {
   MH_GAUGE("router.backends.total")->Set(total);
 }
 
-void ModelHubRouter::UpdateUptimeGauge() const {
-  MH_GAUGE("router.uptime_seconds")
-      ->Set(static_cast<int64_t>(ElapsedUs(started_at_) / 1000000));
-}
-
-void ModelHubRouter::Shed(Socket sock, const char* reason) {
-  MH_COUNTER("router.shed.count")->Increment();
-  // Opcode 0: the request was never read, so there is nothing to echo.
-  (void)WriteFrame(&sock, 0,
-                   EncodeResponsePayload(Status::Unavailable(reason), ""),
-                   Deadline::AfterMs(1000));
-}
-
-void ModelHubRouter::AcceptLoop() {
-  while (!stopping_.load()) {
-    Result<Socket> accepted = listener_->Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load()) break;
-      continue;  // Spurious wake or transient accept failure.
-    }
-    MH_COUNTER("router.accepted.count")->Increment();
-    if (stopping_.load()) {
-      Shed(accepted.MoveValue(), "router draining");
-      break;
-    }
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    const size_t queued = pending_.size();
-    if (queued >= static_cast<size_t>(options_.queue_capacity) ||
-        active_connections_.load() + static_cast<int>(queued) >=
-            options_.max_connections) {
-      lock.unlock();
-      Shed(accepted.MoveValue(), "router at capacity");
-      continue;
-    }
-    pending_.push_back(
-        {accepted.MoveValue(), std::chrono::steady_clock::now()});
-    MH_GAUGE("router.queue.depth")->Set(static_cast<int64_t>(pending_.size()));
-    lock.unlock();
-    queue_cv_.notify_one();
-  }
-}
-
-void ModelHubRouter::WorkerLoop() {
-  for (;;) {
-    PendingConn pc;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [&] { return stopping_.load() || !pending_.empty(); });
-      if (stopping_.load()) break;
-      pc = std::move(pending_.front());
-      pending_.pop_front();
-      MH_GAUGE("router.queue.depth")
-          ->Set(static_cast<int64_t>(pending_.size()));
-    }
-    const uint64_t waited_us = ElapsedUs(pc.enqueued);
-    MH_HISTOGRAM("router.queue.wait.us")->Record(waited_us);
-    // Same staleness rule as modelhubd: a connection queued past the idle
-    // timeout belongs to a client that has given up — shed, don't serve.
-    if (waited_us / 1000 >
-        static_cast<uint64_t>(std::max(0, options_.idle_timeout_ms))) {
-      Shed(std::move(pc.sock), "queued past idle timeout");
-      continue;
-    }
-    active_connections_.fetch_add(1);
-    MH_GAUGE("router.connections.active")->Add(1);
-    ServeConnection(std::move(pc.sock));
-    MH_GAUGE("router.connections.active")->Add(-1);
-    active_connections_.fetch_sub(1);
-  }
-}
-
-void ModelHubRouter::ServeConnection(Socket sock) {
-  while (!stopping_.load()) {
-    Frame request;
-    bool clean_eof = false;
-    const Status read =
-        ReadFrame(&sock, &request, options_.max_frame_bytes,
-                  Deadline::AfterMs(options_.idle_timeout_ms), &stopping_,
-                  &clean_eof);
-    if (!read.ok()) {
-      if (!clean_eof && !stopping_.load() && !read.IsDeadlineExceeded() &&
-          !read.IsUnavailable()) {
-        MH_COUNTER("router.errors.count")->Increment();
-      }
-      break;
-    }
-    MH_COUNTER("router.bytes.in")
-        ->Add(request.payload.size() + kFrameOverheadBytes);
-
-    std::string result;
-    Status status;
-    const TraceContext ctx = ContextFromFrame(request);
-    uint64_t latency_us = 0;
-    {
-      // The inbound trace context stays installed across the backend
-      // hops below, so the outbound client re-emits it on the wire with
-      // the router.forward span as the new parent.
-      ScopedTraceContext trace_scope(ctx);
-      TraceSpan span("router.request");
-      span.Annotate("op", std::string(OpcodeToString(request.opcode)));
-      const auto dispatched_at = std::chrono::steady_clock::now();
-      if (request.version != kWireVersion) {
-        status = Status::InvalidArgument(
-            "unsupported wire version " + std::to_string(request.version));
-      } else {
-        status = Dispatch(request, &result);
-      }
-      latency_us = ElapsedUs(dispatched_at);
-      MH_HISTOGRAM("router.op.forward.us")->Record(latency_us);
-      span.Annotate("status", std::string(StatusCodeToString(status.code())));
-      span.Annotate("result_bytes", static_cast<uint64_t>(result.size()));
-    }
-    MH_COUNTER("router.requests.count")->Increment();
-    if (!status.ok()) MH_COUNTER("router.errors.count")->Increment();
-    const bool after_deadline = ctx.deadline_expired();
-    if (after_deadline) {
-      MH_COUNTER("router.deadline.expired.count")->Increment();
-    }
-    if (options_.slow_request_us > 0 &&
-        latency_us >= static_cast<uint64_t>(options_.slow_request_us)) {
-      SlowRequestEntry entry;
-      entry.op = std::string(OpcodeToString(request.opcode));
-      entry.latency_us = latency_us;
-      entry.status = std::string(StatusCodeToString(status.code()));
-      entry.trace_hi = ctx.trace_hi;
-      entry.trace_lo = ctx.trace_lo;
-      entry.after_deadline = after_deadline;
-      entry.unix_us = UnixMicros();
-      slow_log_.Record(std::move(entry));
-      MH_COUNTER("router.slow_requests.count")->Increment();
-    }
-
-    const std::string payload = EncodeResponsePayload(status, result);
-    MH_COUNTER("router.bytes.out")->Add(payload.size() + kFrameOverheadBytes);
-    const Status written =
-        WriteFrame(&sock, request.opcode, payload,
-                   Deadline::AfterMs(options_.io_timeout_ms));
-    if (!written.ok()) break;
-    if (request.opcode == static_cast<uint8_t>(Opcode::kShutdown)) {
-      RequestStop();
-      break;
-    }
-  }
-}
-
 Status ModelHubRouter::Dispatch(const Frame& request, std::string* out) {
   switch (static_cast<Opcode>(request.opcode)) {
     case Opcode::kPing:
@@ -494,11 +256,6 @@ Status ModelHubRouter::Dispatch(const Frame& request, std::string* out) {
 }
 
 Status ModelHubRouter::HandlePing(std::string* out) {
-  size_t queued;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queued = pending_.size();
-  }
   int64_t healthy = 0;
   int64_t total = 0;
   for (const auto& shard : shards_) {
@@ -514,9 +271,9 @@ Status ModelHubRouter::HandlePing(std::string* out) {
   // role/healthy/backends tokens), so anything that can health-check a
   // backend can health-check a router.
   *out = std::string("pong state=") +
-         (stopping_.load() ? "draining" : "serving") +
-         " queue=" + std::to_string(queued) +
-         " active=" + std::to_string(active_connections_.load()) +
+         (frames_.draining() ? "draining" : "serving") +
+         " queue=" + std::to_string(frames_.queued()) +
+         " active=" + std::to_string(frames_.active()) +
          " role=router healthy=" + std::to_string(healthy) +
          " backends=" + std::to_string(total);
   return Status::OK();
@@ -576,13 +333,13 @@ Status ModelHubRouter::HandleDqlQuery(const Frame& request, std::string* out) {
 }
 
 Status ModelHubRouter::HandleStats(std::string* out) {
-  UpdateUptimeGauge();
+  frames_.UpdateUptimeGauge();
   UpdateHealthGauges();
   std::string own = MetricRegistry::Global()->Snapshot().ToJson();
   // Splice the slow-request ring into the router's own section as a
   // fourth top-level key next to counters/gauges/histograms.
   own.pop_back();
-  own += ",\"slow_requests\":" + slow_log_.ToJson() + "}";
+  own += ",\"slow_requests\":" + frames_.slow_log().ToJson() + "}";
   std::string json = "{\"router\":";
   json += own;
   json += ",\"backends\":{";
@@ -591,8 +348,9 @@ Status ModelHubRouter::HandleStats(std::string* out) {
     for (const auto& backend : shard->replicas) {
       if (!first) json += ",";
       first = false;
-      json += "\"" + JsonEscape(backend->endpoint().Name()) + "\":{";
-      json += "\"shard\":\"" + JsonEscape(shard->name) + "\"";
+      AppendJsonString(&json, backend->endpoint().Name());
+      json += ":{\"shard\":";
+      AppendJsonString(&json, shard->name);
       json += ",\"breaker\":\"";
       json += BreakerStateToString(backend->breaker().state());
       json += "\"";
@@ -605,7 +363,8 @@ Status ModelHubRouter::HandleStats(std::string* out) {
       if (fetched.ok()) {
         json += ",\"stats\":" + stats;
       } else {
-        json += ",\"error\":\"" + JsonEscape(fetched.ToString()) + "\"";
+        json += ",\"error\":";
+        AppendJsonString(&json, fetched.ToString());
       }
       json += "}";
     }
@@ -634,7 +393,7 @@ Status ModelHubRouter::HandleGetTrace(std::string* out) {
 }
 
 Status ModelHubRouter::HandleGetMetrics(std::string* out) {
-  UpdateUptimeGauge();
+  frames_.UpdateUptimeGauge();
   UpdateHealthGauges();
   std::set<std::string> seen_types;
   AppendPrometheusWithLabel(out, MetricRegistry::Global()->ToPrometheusText(),
@@ -731,7 +490,8 @@ Status ModelHubRouter::ForwardToShard(ShardRuntime* shard, uint8_t opcode,
   Status last = Status::Unavailable("no admittable replica");
   Backend* previous = nullptr;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (stopping_.load()) break;
+    // A request in hand is always tried once; a drain only cuts retries.
+    if (attempt > 0 && frames_.draining()) break;
     Backend* backend = PickReplica(shard, start, attempt);
     if (backend == nullptr) break;  // Every breaker open: shed fast.
     if (attempt > 0) {
@@ -755,7 +515,7 @@ Status ModelHubRouter::ForwardToShard(ShardRuntime* shard, uint8_t opcode,
       const uint64_t wait_ms =
           static_cast<uint64_t>(base) / 2 +
           JitterRng().Uniform(static_cast<uint64_t>(base) / 2 + 1);
-      for (uint64_t slept = 0; slept < wait_ms && !stopping_.load();
+      for (uint64_t slept = 0; slept < wait_ms && !frames_.draining();
            slept += 5) {
         std::this_thread::sleep_for(std::chrono::milliseconds(
             std::min<uint64_t>(5, wait_ms - slept)));
@@ -768,10 +528,10 @@ Status ModelHubRouter::ForwardToShard(ShardRuntime* shard, uint8_t opcode,
 }
 
 void ModelHubRouter::ProbeLoop() {
-  while (!stopping_.load()) {
+  while (!frames_.draining()) {
     for (const auto& shard : shards_) {
       for (const auto& backend : shard->replicas) {
-        if (stopping_.load()) return;
+        if (frames_.draining()) return;
         CircuitBreaker& breaker = backend->breaker();
         const CircuitBreaker::State state = breaker.state();
         if (state == CircuitBreaker::State::kHalfOpen) {
@@ -817,20 +577,12 @@ void ModelHubRouter::ProbeLoop() {
     }
     UpdateHealthGauges();
     const int interval = std::max(10, options_.probe_interval_ms);
-    for (int slept = 0; slept < interval && !stopping_.load(); slept += 10) {
+    for (int slept = 0; slept < interval && !frames_.draining(); slept += 10) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(std::min(10, interval - slept)));
     }
   }
 }
-
-namespace {
-
-volatile std::sig_atomic_t g_stop_signal = 0;
-
-void OnStopSignal(int) { g_stop_signal = 1; }
-
-}  // namespace
 
 int RunRouterMain(FleetTopology topology, RouterOptions options) {
   const size_t num_shards = topology.shards.size();
@@ -845,21 +597,9 @@ int RunRouterMain(FleetTopology topology, RouterOptions options) {
               router.options().host.c_str(), router.port(), num_shards,
               num_backends);
   std::fflush(stdout);
-  g_stop_signal = 0;
-  std::signal(SIGTERM, OnStopSignal);
-  std::signal(SIGINT, OnStopSignal);
-  while (g_stop_signal == 0 && !router.stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "modelhub-router: draining\n");
-  const Status stopped = router.Stop();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  if (!stopped.ok()) {
-    std::fprintf(stderr, "modelhub-router: %s\n", stopped.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return RunUntilSignalled(
+      "modelhub-router", [&router] { return router.stop_requested(); },
+      [&router] { return router.Stop(); });
 }
 
 }  // namespace modelhub

@@ -2,22 +2,15 @@
 #define MODELHUB_ROUTER_ROUTER_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/result.h"
-#include "common/slow_log.h"
-#include "common/thread_pool.h"
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 #include "router/backend.h"
 #include "router/hash_ring.h"
 
@@ -43,19 +36,9 @@ struct FleetTopology {
 };
 
 /// modelhub-router configuration (DESIGN.md §11). The frontend-facing
-/// knobs mirror ServerOptions; the rest parameterize the resilience
-/// stack.
-struct RouterOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;  ///< 0 binds an ephemeral port; read it back with port().
-
-  int num_workers = 8;
-  int max_connections = 64;
-  int queue_capacity = 32;
-  uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  int io_timeout_ms = 10000;
-  int idle_timeout_ms = 30000;
-
+/// fields come from FrameServerOptions; the rest parameterize the
+/// resilience stack.
+struct RouterOptions : FrameServerOptions {
   /// Budgets for one backend hop (connect / request+response).
   int backend_connect_timeout_ms = 1000;
   int backend_op_timeout_ms = 10000;
@@ -80,11 +63,6 @@ struct RouterOptions {
 
   /// Virtual nodes per shard on the consistent-hash ring.
   int vnodes_per_shard = 64;
-
-  /// Slow-request log threshold: requests whose dispatch takes at least
-  /// this long land in a bounded ring dumped via STATS (0 disables).
-  int slow_request_us = 100000;
-  int slow_log_capacity = 64;
 };
 
 /// The fleet frontend: speaks the net/frame.h wire protocol on both
@@ -104,9 +82,9 @@ struct RouterOptions {
 ///     backend's advertised state and steer away from draining peers;
 ///   * graceful degradation — a shard with zero admittable replicas
 ///     sheds the request with a typed kUnavailable frame immediately;
-///   * the same accept→bounded-queue→worker drain semantics as
-///     ModelHubServer (SIGTERM finishes in-flight requests, queued
-///     connections get a typed refusal).
+///   * the FrameServer front door modelhubd also uses (DESIGN.md §9.1),
+///     with no drain grace: SIGTERM finishes in-flight requests, queued
+///     connections get a typed refusal.
 class ModelHubRouter {
  public:
   ModelHubRouter(FleetTopology topology, RouterOptions options = {});
@@ -117,13 +95,14 @@ class ModelHubRouter {
 
   Status Start();
   Status Stop();
-  void RequestStop();  ///< Async-signal-safe drain trigger.
-  void WaitUntilStopRequested() const;
+  /// Async-signal-safe drain trigger.
+  void RequestStop() { frames_.RequestStop(); }
+  void WaitUntilStopRequested() const { frames_.WaitUntilStopRequested(); }
 
-  int port() const;
+  int port() const { return frames_.port(); }
   const RouterOptions& options() const { return options_; }
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  bool stop_requested() const { return stopping_.load(); }
+  bool running() const { return frames_.running(); }
+  bool stop_requested() const { return frames_.draining(); }
 
   /// The shard a model name routes to (tests / dlv introspection).
   const std::string& ShardForModel(std::string_view model) const;
@@ -147,16 +126,7 @@ class ModelHubRouter {
     std::atomic<uint64_t> rr{0};  ///< Round-robin read cursor.
   };
 
-  struct PendingConn {
-    Socket sock;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void AcceptLoop();
-  void WorkerLoop();
   void ProbeLoop();
-  void ServeConnection(Socket sock);
-  void Shed(Socket sock, const char* reason);
 
   Status Dispatch(const Frame& request, std::string* out);
   Status HandlePing(std::string* out);
@@ -174,7 +144,8 @@ class ModelHubRouter {
   /// Retry/failover loop over one shard's replicas. On success `*out`
   /// holds the backend's result bytes and the return is the backend's
   /// own status; kUnavailable with a "shard ..." message means the
-  /// request was shed (budget exhausted or no admittable replica).
+  /// request was shed (budget exhausted or no admittable replica). A
+  /// drain cuts retries and backoff but never the first attempt.
   Status ForwardToShard(ShardRuntime* shard, uint8_t opcode,
                         std::string_view payload, std::string* out);
 
@@ -190,7 +161,6 @@ class ModelHubRouter {
   Backend* PickReplica(ShardRuntime* shard, uint64_t start, int attempt);
 
   void UpdateHealthGauges() const;
-  void UpdateUptimeGauge() const;
 
   const FleetTopology topology_;
   const RouterOptions options_;
@@ -199,21 +169,8 @@ class ModelHubRouter {
   std::map<std::string, ShardRuntime*, std::less<>> shard_by_name_;
   HashRing ring_;
 
-  std::optional<Listener> listener_;
-  std::unique_ptr<ThreadPool> workers_;
-  std::thread accept_thread_;
+  FrameServer frames_;  ///< Calls Dispatch from its worker threads.
   std::thread probe_thread_;
-  WaitGroup worker_group_;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> active_connections_{0};
-  std::chrono::steady_clock::time_point started_at_;
-  SlowRequestLog slow_log_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingConn> pending_;  ///< Guarded by queue_mu_.
 };
 
 /// Entry point behind `dlv serve --fleet` and the standalone

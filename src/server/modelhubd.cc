@@ -1,7 +1,6 @@
 #include "server/modelhubd.h"
 
 #include <algorithm>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -15,44 +14,8 @@
 namespace modelhub {
 namespace {
 
-/// Wire overhead of one frame: length prefix + version + opcode + CRC.
-constexpr uint64_t kFrameOverheadBytes = 4 + kFrameHeaderBytes + 4;
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
-uint64_t UnixMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Per-op latency histograms (MH_HISTOGRAM needs literal names).
-Histogram* OpLatency(uint8_t opcode) {
-  switch (static_cast<Opcode>(opcode)) {
-    case Opcode::kPing:
-      return MH_HISTOGRAM("server.op.ping.us");
-    case Opcode::kListModels:
-      return MH_HISTOGRAM("server.op.list_models.us");
-    case Opcode::kGetSnapshot:
-      return MH_HISTOGRAM("server.op.get_snapshot.us");
-    case Opcode::kDqlQuery:
-      return MH_HISTOGRAM("server.op.dql_query.us");
-    case Opcode::kStats:
-      return MH_HISTOGRAM("server.op.stats.us");
-    case Opcode::kShutdown:
-      return MH_HISTOGRAM("server.op.shutdown.us");
-    case Opcode::kGetTrace:
-      return MH_HISTOGRAM("server.op.get_trace.us");
-    case Opcode::kGetMetrics:
-      return MH_HISTOGRAM("server.op.get_metrics.us");
-  }
-  return MH_HISTOGRAM("server.op.unknown.us");
+std::string OpLatencyMetric(std::string_view op) {
+  return "server.op." + std::string(op) + ".us";
 }
 
 }  // namespace
@@ -62,12 +25,15 @@ ModelHubServer::ModelHubServer(Env* env, std::string repo_root,
     : env_(env),
       repo_root_(std::move(repo_root)),
       options_(options),
-      slow_log_(static_cast<size_t>(std::max(1, options_.slow_log_capacity))) {}
+      frames_(options_, "server", options_.drain_grace_ms, OpLatencyMetric,
+              [this](const Frame& request, std::string* out) {
+                return Dispatch(request, out);
+              }) {}
 
 ModelHubServer::~ModelHubServer() { (void)Stop(); }
 
 Status ModelHubServer::Start() {
-  if (running_.load()) {
+  if (frames_.running()) {
     return Status::FailedPrecondition("server already running");
   }
   MH_ASSIGN_OR_RETURN(Repository repo, Repository::Open(env_, repo_root_));
@@ -78,9 +44,6 @@ Status ModelHubServer::Start() {
   if (auto archive = repo_->SharedArchive(); archive.ok()) {
     (*archive)->EnableChunkCache(true);
   }
-  MH_ASSIGN_OR_RETURN(Listener listener,
-                      Listener::Bind(options_.host, options_.port));
-  listener_.emplace(std::move(listener));
   coalescer_ = std::make_unique<SnapshotCoalescer>(
       [this](const std::string& key, int planes) {
         return FetchSnapshot(key, planes);
@@ -88,18 +51,7 @@ Status ModelHubServer::Start() {
       options_.coalesce_linger_ms);
   retrieval_pool_ =
       std::make_unique<ThreadPool>(std::max(1, options_.retrieval_threads));
-  workers_ = std::make_unique<ThreadPool>(std::max(1, options_.num_workers));
-
-  stopping_.store(false);
-  halt_.store(false);
-  started_at_ = std::chrono::steady_clock::now();
-  running_.store(true, std::memory_order_release);
-  MH_COUNTER("server.starts.count")->Increment();
-  UpdateUptimeGauge();
-  for (int i = 0; i < workers_->num_threads(); ++i) {
-    workers_->Schedule(&worker_group_, [this] { WorkerLoop(); });
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  MH_RETURN_IF_ERROR(frames_.Start());
   if (options_.enable_maintenance) {
     maintenance_ = std::make_unique<LifecycleDaemon>(env_, repo_root_,
                                                      options_.maintenance);
@@ -116,13 +68,8 @@ Status ModelHubServer::Start() {
     // request traffic is queued (bounded backoff so a saturated queue
     // cannot stall maintenance forever).
     maintenance_->set_yield([this] {
-      for (int i = 0; i < 200 && !stopping_.load(); ++i) {
-        bool busy;
-        {
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          busy = !pending_.empty();
-        }
-        if (!busy) break;
+      for (int i = 0; i < 200 && !frames_.draining(); ++i) {
+        if (frames_.queued() == 0) break;
         MH_COUNTER("lifecycle.yield.count")->Increment();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -136,51 +83,23 @@ Status ModelHubServer::Start() {
   return Status::OK();
 }
 
-int ModelHubServer::port() const {
-  return listener_.has_value() ? listener_->port() : 0;
-}
+int ModelHubServer::port() const { return frames_.port(); }
 
 void ModelHubServer::RequestStop() {
   // Only atomic stores and a pipe write — callable from signal handlers.
-  stopping_.store(true);
+  frames_.RequestStop();
   if (maintenance_ != nullptr) maintenance_->RequestStop();
-  if (listener_.has_value()) listener_->Wake();
-}
-
-void ModelHubServer::WaitUntilStopRequested() const {
-  while (!stopping_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
 }
 
 Status ModelHubServer::Stop() {
-  if (!running_.load()) return Status::OK();
+  if (!frames_.running()) return Status::OK();
   RequestStop();
   if (maintenance_ != nullptr) (void)maintenance_->Stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  halt_.store(true);
-  queue_cv_.notify_all();
-  worker_group_.Wait();
-  // Connections that were queued but never reached a worker get a polite
-  // refusal instead of a silent close.
-  std::deque<PendingConn> leftover;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    leftover.swap(pending_);
-    MH_GAUGE("server.queue.depth")->Set(0);
-  }
-  for (PendingConn& pc : leftover) {
-    Shed(std::move(pc.sock), "server draining");
-  }
-  workers_.reset();
+  MH_RETURN_IF_ERROR(frames_.Stop());
   retrieval_pool_.reset();
   coalescer_.reset();
   maintenance_.reset();
-  listener_.reset();
   repo_.reset();
-  UpdateUptimeGauge();
-  MH_COUNTER("server.stops.count")->Increment();
-  running_.store(false, std::memory_order_release);
   return Status::OK();
 }
 
@@ -192,176 +111,6 @@ uint64_t ModelHubServer::coalesce_misses() const {
   return coalescer_ != nullptr ? coalescer_->misses() : 0;
 }
 
-void ModelHubServer::UpdateUptimeGauge() const {
-  MH_GAUGE("server.uptime_seconds")
-      ->Set(static_cast<int64_t>(ElapsedUs(started_at_) / 1000000));
-}
-
-void ModelHubServer::Shed(Socket sock, const char* reason) {
-  MH_COUNTER("server.shed.count")->Increment();
-  // Opcode 0: the request was never read, so there is nothing to echo.
-  (void)WriteFrame(&sock, 0,
-                   EncodeResponsePayload(Status::Unavailable(reason), ""),
-                   Deadline::AfterMs(1000));
-}
-
-void ModelHubServer::AcceptLoop() {
-  // Drain choreography: once stopping_ flips, keep accepting and serving
-  // for drain_grace_ms (PING advertises draining, so routers steer away
-  // on their own schedule) before halting. Grace 0 halts immediately —
-  // the classic drain.
-  std::optional<std::chrono::steady_clock::time_point> halt_at;
-  for (;;) {
-    if (stopping_.load() && !halt_at.has_value()) {
-      if (options_.drain_grace_ms <= 0) break;
-      halt_at = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options_.drain_grace_ms);
-    }
-    int timeout_ms = -1;
-    if (halt_at.has_value()) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(*halt_at -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) break;
-      timeout_ms = static_cast<int>(remaining.count());
-    }
-    Result<Socket> accepted = listener_->Accept(timeout_ms);
-    if (!accepted.ok()) {
-      // Timeout: the grace window lapsed (re-checked above). Wake: the
-      // drain began (or a spurious wake) — loop to start the clock.
-      continue;
-    }
-    MH_COUNTER("server.accepted.count")->Increment();
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    const size_t queued = pending_.size();
-    if (queued >= static_cast<size_t>(options_.queue_capacity) ||
-        active_connections_.load() + static_cast<int>(queued) >=
-            options_.max_connections) {
-      lock.unlock();
-      Shed(accepted.MoveValue(), "server at capacity");
-      continue;
-    }
-    pending_.push_back(
-        {accepted.MoveValue(), std::chrono::steady_clock::now()});
-    MH_GAUGE("server.queue.depth")->Set(static_cast<int64_t>(pending_.size()));
-    lock.unlock();
-    queue_cv_.notify_one();
-  }
-  // Accepting is over: halt the workers (in-flight responses still
-  // complete — ServeConnection only checks halt_ between requests).
-  halt_.store(true);
-  queue_cv_.notify_all();
-}
-
-void ModelHubServer::WorkerLoop() {
-  for (;;) {
-    PendingConn pc;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock,
-                     [&] { return halt_.load() || !pending_.empty(); });
-      if (halt_.load()) break;
-      pc = std::move(pending_.front());
-      pending_.pop_front();
-      MH_GAUGE("server.queue.depth")
-          ->Set(static_cast<int64_t>(pending_.size()));
-    }
-    const uint64_t waited_us = ElapsedUs(pc.enqueued);
-    MH_HISTOGRAM("server.queue.wait.us")->Record(waited_us);
-    // A connection that waited longer than the idle timeout is stale: its
-    // client has almost certainly timed out, and any request already on
-    // the wire would be served against an expired deadline. Shed it with
-    // a typed refusal instead of burning a worker on a dead exchange.
-    if (waited_us / 1000 >
-        static_cast<uint64_t>(std::max(0, options_.idle_timeout_ms))) {
-      Shed(std::move(pc.sock), "queued past idle timeout");
-      continue;
-    }
-    active_connections_.fetch_add(1);
-    MH_GAUGE("server.connections.active")->Add(1);
-    ServeConnection(std::move(pc.sock));
-    MH_GAUGE("server.connections.active")->Add(-1);
-    active_connections_.fetch_sub(1);
-  }
-}
-
-void ModelHubServer::ServeConnection(Socket sock) {
-  while (!halt_.load()) {
-    Frame request;
-    bool clean_eof = false;
-    // The idle read is cancellable at halt (the grace window keeps
-    // serving through a mere drain request); once a request is in hand,
-    // its dispatch and response write run to completion even mid-drain.
-    const Status read =
-        ReadFrame(&sock, &request, options_.max_frame_bytes,
-                  Deadline::AfterMs(options_.idle_timeout_ms), &halt_,
-                  &clean_eof);
-    if (!read.ok()) {
-      if (!clean_eof && !halt_.load() && !read.IsDeadlineExceeded() &&
-          !read.IsUnavailable()) {
-        MH_COUNTER("server.errors.count")->Increment();
-      }
-      break;
-    }
-    MH_COUNTER("server.bytes.in")
-        ->Add(request.payload.size() + kFrameOverheadBytes);
-
-    std::string result;
-    Status status;
-    const TraceContext ctx = ContextFromFrame(request);
-    uint64_t latency_us = 0;
-    {
-      // The request's trace context governs every span recorded below it
-      // — including retrieval/PAS spans on the pool threads, which
-      // inherit it through ThreadPool::Schedule.
-      ScopedTraceContext trace_scope(ctx);
-      TraceSpan span("server.request");
-      span.Annotate("op", std::string(OpcodeToString(request.opcode)));
-      const auto dispatched_at = std::chrono::steady_clock::now();
-      if (request.version != kWireVersion) {
-        status = Status::InvalidArgument(
-            "unsupported wire version " + std::to_string(request.version));
-      } else {
-        status = Dispatch(request, &result);
-      }
-      latency_us = ElapsedUs(dispatched_at);
-      OpLatency(request.opcode)->Record(latency_us);
-      span.Annotate("status", std::string(StatusCodeToString(status.code())));
-      span.Annotate("result_bytes", static_cast<uint64_t>(result.size()));
-    }
-    MH_COUNTER("server.requests.count")->Increment();
-    if (!status.ok()) MH_COUNTER("server.errors.count")->Increment();
-    const bool after_deadline = ctx.deadline_expired();
-    if (after_deadline) {
-      MH_COUNTER("server.deadline.expired.count")->Increment();
-    }
-    if (options_.slow_request_us > 0 &&
-        latency_us >= static_cast<uint64_t>(options_.slow_request_us)) {
-      SlowRequestEntry entry;
-      entry.op = std::string(OpcodeToString(request.opcode));
-      entry.latency_us = latency_us;
-      entry.status = std::string(StatusCodeToString(status.code()));
-      entry.trace_hi = ctx.trace_hi;
-      entry.trace_lo = ctx.trace_lo;
-      entry.after_deadline = after_deadline;
-      entry.unix_us = UnixMicros();
-      slow_log_.Record(std::move(entry));
-      MH_COUNTER("server.slow_requests.count")->Increment();
-    }
-
-    const std::string payload = EncodeResponsePayload(status, result);
-    MH_COUNTER("server.bytes.out")->Add(payload.size() + kFrameOverheadBytes);
-    const Status written =
-        WriteFrame(&sock, request.opcode, payload,
-                   Deadline::AfterMs(options_.io_timeout_ms));
-    if (!written.ok()) break;
-    if (request.opcode == static_cast<uint8_t>(Opcode::kShutdown)) {
-      RequestStop();
-      break;
-    }
-  }
-}
-
 Status ModelHubServer::Dispatch(const Frame& request, std::string* out) {
   switch (static_cast<Opcode>(request.opcode)) {
     case Opcode::kPing: {
@@ -369,15 +118,10 @@ Status ModelHubServer::Dispatch(const Frame& request, std::string* out) {
       // key on that) and appends load/lifecycle state so a router can
       // steer away from a draining or backed-up server before requests
       // start failing (ParsePingReply in net/client.h).
-      size_t queued;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        queued = pending_.size();
-      }
       *out = std::string("pong state=") +
-             (stopping_.load() ? "draining" : "serving") +
-             " queue=" + std::to_string(queued) +
-             " active=" + std::to_string(active_connections_.load());
+             (frames_.draining() ? "draining" : "serving") +
+             " queue=" + std::to_string(frames_.queued()) +
+             " active=" + std::to_string(frames_.active());
       return Status::OK();
     }
     case Opcode::kListModels:
@@ -394,6 +138,8 @@ Status ModelHubServer::Dispatch(const Frame& request, std::string* out) {
       *out = MetricRegistry::Global()->ToPrometheusText();
       return Status::OK();
     case Opcode::kShutdown:
+      // The FrameServer begins its own drain once this reply is written.
+      if (maintenance_ != nullptr) maintenance_->RequestStop();
       *out = "draining";
       return Status::OK();
   }
@@ -552,12 +298,12 @@ Status ModelHubServer::HandleDqlQuery(const Frame& request, std::string* out) {
 }
 
 Status ModelHubServer::HandleStats(std::string* out) {
-  UpdateUptimeGauge();
+  frames_.UpdateUptimeGauge();
   std::string json = MetricRegistry::Global()->Snapshot().ToJson();
   // Splice the slow-request ring and the MAINTAIN_STATUS surface in as
   // top-level sections next to counters/gauges/histograms.
   json.pop_back();
-  json += ",\"slow_requests\":" + slow_log_.ToJson();
+  json += ",\"slow_requests\":" + frames_.slow_log().ToJson();
   MaintenanceStatus maintain;
   if (maintenance_ != nullptr) maintain = maintenance_->status();
   json += ",\"maintenance\":" + maintain.ToJson() + "}";
@@ -571,14 +317,6 @@ Status ModelHubServer::HandleGetTrace(std::string* out) {
   return Status::OK();
 }
 
-namespace {
-
-volatile std::sig_atomic_t g_stop_signal = 0;
-
-void OnStopSignal(int) { g_stop_signal = 1; }
-
-}  // namespace
-
 int RunServerMain(Env* env, const std::string& repo_root,
                   ServerOptions options) {
   ModelHubServer server(env, repo_root, std::move(options));
@@ -590,21 +328,9 @@ int RunServerMain(Env* env, const std::string& repo_root,
   std::printf("modelhubd listening on %s:%d\n", server.options().host.c_str(),
               server.port());
   std::fflush(stdout);
-  g_stop_signal = 0;
-  std::signal(SIGTERM, OnStopSignal);
-  std::signal(SIGINT, OnStopSignal);
-  while (g_stop_signal == 0 && !server.stop_requested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "modelhubd: draining\n");
-  const Status stopped = server.Stop();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  if (!stopped.ok()) {
-    std::fprintf(stderr, "modelhubd: %s\n", stopped.ToString().c_str());
-    return 1;
-  }
-  return 0;
+  return RunUntilSignalled(
+      "modelhubd", [&server] { return server.stop_requested(); },
+      [&server] { return server.Stop(); });
 }
 
 }  // namespace modelhub

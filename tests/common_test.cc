@@ -12,6 +12,7 @@
 #include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -627,6 +628,32 @@ TEST(WaitGroupTest, TwoGroupsOnOnePoolWaitIndependently) {
   EXPECT_EQ(first_count.load(), 50);
   second.Wait();
   EXPECT_EQ(second_count.load(), 50);
+}
+
+// ------------------------------------------------------------------ JSON
+
+TEST(JsonStringTest, EscapesTable) {
+  const struct {
+    std::string_view in;
+    std::string_view want;
+  } cases[] = {
+      {"", R"("")"},
+      {"plain.name_1", R"("plain.name_1")"},
+      {"say \"hi\"", R"("say \"hi\"")"},
+      {"C:\\dir", R"("C:\\dir")"},
+      {"a\nb\rc\td", R"("a\nb\rc\td")"},
+      {std::string_view("\0\x01\x1f", 3), R"("\u0000\u0001\u001f")"},
+      {"\x7f", "\"\x7f\""},
+      {"caf\xc3\xa9", "\"caf\xc3\xa9\""},  // UTF-8 passes through.
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(JsonString(c.in), c.want) << c.in;
+    // Appending keeps what `out` already held.
+    std::string appended = "{";
+    AppendJsonString(&appended, c.in);
+    EXPECT_EQ(appended.substr(1), c.want);
+    EXPECT_EQ(appended[0], '{');
+  }
 }
 
 }  // namespace

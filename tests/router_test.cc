@@ -391,6 +391,76 @@ TEST_F(RouterTest, ShutdownRpcDrainsRouterOnly) {
   EXPECT_TRUE(direct->Ping().ok());
 }
 
+TEST_F(RouterTest, DrainStartedMidFanOutStillAsksEveryShard) {
+  // shard0 is a bare frame listener that answers PINGs but holds its
+  // LIST_MODELS reply until the router has been asked to drain; shard1 is
+  // a real backend. A request the router already read must still visit
+  // shard1 after the drain began, so the client gets the full answer.
+  auto listener = Listener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok());
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread shard0([&] {
+    for (;;) {
+      Result<Socket> conn = listener->Accept(10000);
+      if (!conn.ok()) return;
+      Frame request;
+      while (ReadFrame(&*conn, &request, kDefaultMaxFrameBytes,
+                       Deadline::AfterMs(10000))
+                 .ok()) {
+        const bool list = request.opcode ==
+                          static_cast<uint8_t>(Opcode::kListModels);
+        if (list) {
+          holding.store(true);
+          while (!release.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        const std::string result =
+            list ? "held_v1 - 1 0.000 archived\n" : "pong state=serving";
+        if (!WriteFrame(&*conn, request.opcode,
+                        EncodeResponsePayload(Status::OK(), result),
+                        Deadline::AfterMs(10000))
+                 .ok() ||
+            list) {
+          return;
+        }
+      }
+    }
+  });
+
+  StartBackend();
+  FleetTopology topology;
+  topology.shards.push_back({"shard0", {{"127.0.0.1", listener->port()}}});
+  topology.shards.push_back({"shard1", {{"127.0.0.1", servers_[0]->port()}}});
+  RouterOptions options;
+  options.probe_interval_ms = 60000;  // Keep the prober out of the way.
+  ModelHubRouter router(std::move(topology), options);
+  ASSERT_TRUE(router.Start().ok());
+
+  Result<std::string> models = Status::Internal("not run");
+  std::thread client_thread([&] {
+    auto client = ModelHubClient::Connect("127.0.0.1", router.port());
+    if (!client.ok()) {
+      models = client.status();
+      return;
+    }
+    models = client->ListModels();
+  });
+  while (!holding.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  router.RequestStop();
+  release.store(true);
+  client_thread.join();
+  shard0.join();
+
+  ASSERT_TRUE(models.ok()) << models.status().ToString();
+  EXPECT_NE(models->find("held_v1"), std::string::npos) << *models;
+  EXPECT_NE(models->find("served_v1"), std::string::npos) << *models;
+  EXPECT_TRUE(router.Stop().ok());
+}
+
 TEST_F(RouterTest, RetryBudgetExhaustionShedsTyped) {
   // A shard whose only replica is a dead port: bind, record, release.
   int dead_port = 0;
